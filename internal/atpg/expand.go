@@ -31,8 +31,8 @@ type expanded struct {
 	trail    []trailEntry
 	conflict bool
 	queue    []fnode // evaluation worklist
-	inQueue  map[fnode]bool
-	dCount   int // nodes currently carrying a fault effect
+	inQueue  []bool  // [t*NumNodes+n]: set exactly while (t, n) is on queue
+	dCount   int     // nodes currently carrying a fault effect
 }
 
 type fnode struct {
@@ -56,7 +56,7 @@ func newExpanded(c *netlist.Circuit, f fault.Fault, w int, opt *Options) *expand
 		tainted: taint(c, f.Node),
 		values:  make([][]logic.V5, w),
 		forb:    make([][]uint8, w),
-		inQueue: map[fnode]bool{},
+		inQueue: make([]bool, w*c.NumNodes()),
 	}
 	for t := 0; t < w; t++ {
 		e.values[t] = make([]logic.V5, c.NumNodes())
@@ -163,11 +163,14 @@ func (e *expanded) enqueueFanouts(at fnode) {
 }
 
 func (e *expanded) push(at fnode) {
-	if !e.inQueue[at] {
-		e.inQueue[at] = true
+	if k := e.slot(at); !e.inQueue[k] {
+		e.inQueue[k] = true
 		e.queue = append(e.queue, at)
 	}
 }
+
+// slot is the index of a frame node in the dense per-window arrays.
+func (e *expanded) slot(at fnode) int { return at.t*e.c.NumNodes() + int(at.n) }
 
 // applyRelations fires the learned same-frame relations for a good-known
 // literal (paper Section 4).
@@ -322,7 +325,7 @@ func (e *expanded) settle() bool {
 	for len(e.queue) > 0 && !e.conflict {
 		at := e.queue[len(e.queue)-1]
 		e.queue = e.queue[:len(e.queue)-1]
-		e.inQueue[at] = false
+		e.inQueue[e.slot(at)] = false
 		e.eval(at)
 	}
 	return !e.conflict
@@ -463,8 +466,10 @@ func (e *expanded) rollback(mark int) {
 	}
 	e.trail = e.trail[:mark]
 	e.conflict = false
-	for at := range e.inQueue {
-		delete(e.inQueue, at)
+	// Only entries still queued carry a flag: settle clears each one it
+	// pops, so what a conflict left behind is exactly the queue.
+	for _, at := range e.queue {
+		e.inQueue[e.slot(at)] = false
 	}
 	e.queue = e.queue[:0]
 }

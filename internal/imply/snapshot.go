@@ -5,25 +5,29 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
 // Snapshot is a frozen, immutable view of a relation database. It stores
-// the canonical relations as one sorted slice with parallel metadata and a
-// dense CSR same-frame index keyed by literal — no maps on the read path —
-// so any number of ATPG workers, analyses and report generators can share
-// one snapshot concurrently without locks.
+// the canonical relations as one sorted slice with parallel metadata and,
+// once first queried, a dense CSR same-frame index keyed by literal — no
+// maps on the read path — so any number of ATPG workers, analyses and
+// report generators can share one snapshot concurrently.
 type Snapshot struct {
 	c    *netlist.Circuit
 	rels []Relation // canonical relations in relLess order
 	meta []relMeta  // parallel to rels
 
 	// Same-frame implications in CSR form: for literal key k (2*node+val),
-	// sfDst[sfOff[k]:sfOff[k+1]] lists the implied literals, sorted.
-	sfOff []int32
-	sfDst []Lit
+	// sfDst[sfOff[k]:sfOff[k+1]] lists the implied literals, sorted. Built
+	// on the first SameFrameImplied call: only the FIRES analysis reads
+	// it, and it would otherwise add ~40% to every cached snapshot.
+	sfOnce sync.Once
+	sfOff  []int32
+	sfDst  []Lit
 }
 
 // Freeze produces an immutable snapshot of the database's current
@@ -35,8 +39,12 @@ func (db *DB) Freeze() *Snapshot {
 	for i, r := range s.rels {
 		s.meta[i] = db.set[r]
 	}
+	return s
+}
 
-	nk := 2 * db.c.NumNodes()
+// buildSameFrame fills the same-frame CSR index from rels.
+func (s *Snapshot) buildSameFrame() {
+	nk := 2 * s.c.NumNodes()
 	s.sfOff = make([]int32, nk+1)
 	for _, r := range s.rels {
 		if r.Dt != 0 {
@@ -65,7 +73,6 @@ func (db *DB) Freeze() *Snapshot {
 		bucket := s.sfDst[s.sfOff[k]:s.sfOff[k+1]]
 		sort.Slice(bucket, func(i, j int) bool { return bucket[i].less(bucket[j]) })
 	}
-	return s
 }
 
 // Circuit returns the owning circuit.
@@ -112,6 +119,7 @@ func (s *Snapshot) DepthOf(a, b Lit, dt int) int {
 // frame, sorted by (node, value). The returned slice aliases the
 // snapshot's storage and must not be modified.
 func (s *Snapshot) SameFrameImplied(l Lit) []Lit {
+	s.sfOnce.Do(s.buildSameFrame)
 	k := litKey(l)
 	return s.sfDst[s.sfOff[k]:s.sfOff[k+1]]
 }

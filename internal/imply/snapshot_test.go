@@ -1,7 +1,9 @@
 package imply
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/logic"
@@ -87,6 +89,34 @@ func TestSnapshotSameFrameSorted(t *testing.T) {
 	}
 	if len(s.SameFrameImplied(lit(c, "a", logic.One))) != 0 {
 		t.Fatal("unrelated literal must imply nothing")
+	}
+}
+
+// TestSnapshotSameFrameConcurrent: the same-frame index is built on first
+// use, so readers racing to that first call must all see the full index.
+func TestSnapshotSameFrameConcurrent(t *testing.T) {
+	c := snapCircuit(t)
+	db := NewDB(c)
+	f1 := lit(c, "f1", logic.One)
+	db.Add(f1, lit(c, "g2", logic.One), 0, false, 0)
+	db.Add(f1, lit(c, "f2", logic.Zero), 0, false, 0)
+	db.Add(lit(c, "g1", logic.One), lit(c, "f2", logic.Zero), 0, true, 0)
+	want := db.Freeze().SameFrameImplied(f1)
+	s := db.Freeze()
+	var wg sync.WaitGroup
+	got := make([][]Lit, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = s.SameFrameImplied(f1)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if !slices.Equal(g, want) {
+			t.Fatalf("reader %d: SameFrameImplied = %v, want %v", i, g, want)
+		}
 	}
 }
 

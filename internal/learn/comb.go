@@ -42,11 +42,12 @@ type injOut struct {
 
 // CombinationalParallel is Combinational sharded over workers (0 = one per
 // core, clamped like every other pool). Injections are independent — each
-// runs in a clean frame against the same read-only tie constants — so
-// workers fill per-injection shards and a serial merge in canonical node
-// order performs every db.Add and tie emission exactly as the serial sweep
-// would: the resulting database and tie list are bit-identical for any
-// worker count (TestCombinationalParallelDeterminism).
+// worker settles the tie constants once into a base frame and starts every
+// injection from it — so workers fill per-injection shards and a serial
+// merge in canonical node order performs every db.Add and tie emission
+// exactly as the serial sweep would: the resulting database and tie list
+// are bit-identical for any worker count
+// (TestCombinationalParallelDeterminism).
 func CombinationalParallel(c *netlist.Circuit, db *imply.DB, ties map[netlist.NodeID]logic.V, workers int) []Tie {
 	// Injection sites in canonical node order.
 	var nodes []netlist.NodeID
@@ -134,44 +135,60 @@ func CombinationalParallel(c *netlist.Circuit, db *imply.DB, ties map[netlist.No
 	return newTies
 }
 
-// combProp is a single-frame forward+backward implication engine.
+// combProp is a single-frame forward+backward implication engine. The tie
+// constants are asserted and settled once, in node order, into a base
+// frame: touched[:base] lists what they imply, and every injection undoes
+// back to that prefix instead of re-settling the ties. Implication here is
+// monotone, so the fixpoint (and any conflict) does not depend on whether
+// the ties settle before or together with the injection
+// (TestCombBaseFrameMatchesCleanFrame).
 type combProp struct {
 	c        *netlist.Circuit
-	ties     map[netlist.NodeID]logic.V
 	values   []logic.V
 	touched  []netlist.NodeID
 	queue    []netlist.NodeID
 	inQueue  []bool
 	conflict bool
+
+	base         int  // len(touched) once the ties are settled
+	baseConflict bool // the ties alone conflict: every injection fails
 }
 
 func newCombProp(c *netlist.Circuit, ties map[netlist.NodeID]logic.V) *combProp {
-	return &combProp{
+	p := &combProp{
 		c:       c,
-		ties:    ties,
 		values:  make([]logic.V, c.NumNodes()),
 		inQueue: make([]bool, c.NumNodes()),
 	}
-}
-
-// run injects n=v into a clean frame and propagates to a fixpoint; it
-// reports false on conflict.
-func (p *combProp) run(n netlist.NodeID, v logic.V) bool {
-	for _, m := range p.touched {
-		p.values[m] = logic.X
-	}
-	p.touched = p.touched[:0]
-	p.queue = p.queue[:0]
-	for i := range p.inQueue {
-		if p.inQueue[i] {
-			p.inQueue[i] = false
+	for id := range c.Nodes {
+		if v, tied := ties[netlist.NodeID(id)]; tied {
+			p.assign(netlist.NodeID(id), v)
 		}
 	}
-	p.conflict = false
+	p.settle()
+	p.base = len(p.touched)
+	p.baseConflict = p.conflict
+	return p
+}
 
-	for tn, tv := range p.ties {
-		p.assign(tn, tv)
+// run injects n=v into the base frame and propagates to a fixpoint; it
+// reports false on conflict. touched keeps the base prefix, so it lists
+// every literal the ties and the injection imply together.
+func (p *combProp) run(n netlist.NodeID, v logic.V) bool {
+	for _, m := range p.touched[p.base:] {
+		p.values[m] = logic.X
 	}
+	p.touched = p.touched[:p.base]
+	// Only entries still queued carry a flag: settle clears each one it
+	// pops, so what a conflict left behind is exactly the queue.
+	for _, m := range p.queue {
+		p.inQueue[m] = false
+	}
+	p.queue = p.queue[:0]
+	if p.baseConflict {
+		return false
+	}
+	p.conflict = false
 	p.assign(n, v)
 	p.settle()
 	return !p.conflict

@@ -120,8 +120,9 @@ type Options struct {
 
 	// Span, when non-nil, receives one child span per learning phase
 	// (single_node, equiv, multi_node, comb_learn) with stem/target/sim
-	// counts as attributes. An observation knob like Parallelism: excluded
-	// from store fingerprints, no effect on results.
+	// counts as attributes, then a finish span for the snapshot freeze.
+	// An observation knob like Parallelism: excluded from store
+	// fingerprints, no effect on results.
 	Span *obs.Span
 
 	// Equiv tunes equivalence identification.
@@ -388,7 +389,9 @@ func learnWith(c *netlist.Circuit, opt Options, trace *SweepWorkload) *Result {
 		sp.End()
 	}
 
+	sp = opt.Span.Start("finish")
 	l.finish()
+	sp.End()
 	l.res.Stats.Duration = time.Since(start)
 	return l.res
 }

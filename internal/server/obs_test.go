@@ -99,7 +99,7 @@ func TestDebugTraceSpanCoverage(t *testing.T) {
 	// simulation and PODEM.
 	for _, want := range []string{
 		"atpg", "parse", "learn",
-		"single_node", "equiv", "multi_node", "comb_learn",
+		"single_node", "equiv", "multi_node", "comb_learn", "finish",
 		"fault_sim", "podem",
 	} {
 		if !names[want] {
