@@ -17,7 +17,7 @@
 // timeout= for a per-request deadline, capped by -request-timeout):
 //
 //	POST /v1/learn?[max_frames=|single_only=1|skip_comb=1|workers=|timeout=]
-//	POST /v1/atpg?[mode=|backtracks=|max_faults=|max_window=|atpg_workers=|compact=1|include_tests=1|reuse=|partition=i/n]
+//	POST /v1/atpg?[mode=|backtracks=|max_faults=|max_window=|atpg_workers=|compact=1|include_tests=1|reuse=]
 //	POST /v1/faultsim?[frames=|seed=|workers=]
 //	GET  /healthz
 //	GET  /v1/stats
@@ -28,19 +28,13 @@
 // propagated from the request). Requests slower than -slow-request log at
 // WARN with the span breakdown attached.
 //
-// Fleet operation (see README "Scaling out seqlearnd"): instances sharing
-// one -cache-dir resolve each other's learned snapshots from disk, so a
-// fleet pays for one learning run per circuit. Clients that already know a
-// circuit's fingerprint may send the X-Circuit-Fingerprint header with an
-// empty body to skip the netlist upload; a daemon that doesn't hold the
-// artifact answers 428 and the client re-sends the body (seqlearn.Client
-// does this transparently). The X-Tenant header keys fair scheduling:
-// tenants waiting for pool slots are granted round-robin, so one noisy
-// tenant queues behind itself, not in front of everyone, and /v1/stats
-// reports per-tenant request/shed/queue-depth counts. partition=i/n runs
-// PODEM only on fault positions p with p%n == i; seqlearn.Fleet scatters
-// the n shards across daemons and merges them bit-identically to a
-// single-instance run.
+// Shared cache (see README "Scaling out seqlearnd"): instances sharing one
+// -cache-dir resolve each other's learned snapshots from disk, so they pay
+// for one learning run per circuit. Clients that already know a circuit's
+// fingerprint may send the X-Circuit-Fingerprint header with an empty body
+// to skip the netlist upload; a daemon that doesn't hold the artifact
+// answers 428 and the client re-sends the body (seqlearn.Client does this
+// transparently).
 //
 // Overload sheds with 429 + Retry-After once the pool and queue are full;
 // expired deadlines answer 504 and never cache; SIGINT/SIGTERM flips

@@ -373,14 +373,7 @@ func (st *runState) replaySeeds() {
 // pure function of the fault's list position, so workers reproduce exactly
 // the tests the serial loop would emit.
 func (st *runState) genOptions(i int) Options {
-	return positionOptions(st.opt.ATPG, i)
-}
-
-// positionOptions is the single source of the per-position option
-// derivation, shared by the in-process drivers and the cross-instance
-// partition runner: any executor holding the same RunOptions and the same
-// canonical fault-list position produces the same Generate call.
-func positionOptions(gopt Options, i int) Options {
+	gopt := st.opt.ATPG
 	if gopt.FillSeed != 0 {
 		gopt.FillSeed = gopt.FillSeed*31 + uint64(i) + 1
 	}

@@ -54,7 +54,7 @@ type SweepWorkload struct {
 // per-job frame caps, stage options and tie epochs are all snapshots.
 func CaptureSweep(c *netlist.Circuit, opt Options) *SweepWorkload {
 	w := &SweepWorkload{c: c}
-	learnWith(c, opt, w)
+	newLearner(c, opt, w).run()
 	return w
 }
 
@@ -119,7 +119,7 @@ func copyTieMap(ties map[netlist.NodeID]logic.V) map[netlist.NodeID]logic.V {
 }
 
 // ReplayScalar executes the workload one scheduled run at a time through a
-// scalar engine — the learner's DisablePacked route. It returns the total
+// scalar engine — the learner's scalar reference route. It returns the total
 // number of simulated frames; every replay route returns the same count,
 // which the speed smoke uses as a cheap equivalence check.
 func (w *SweepWorkload) ReplayScalar() int {

@@ -92,23 +92,9 @@ type Options struct {
 	// merged in canonical order, so the learned relations, ties,
 	// equivalences, statistics and serialized database are bit-identical
 	// for every worker count. Packing composes with sharding: each worker
-	// drains whole lane batches, for Parallelism × PackedLanes learning
-	// machines in flight.
+	// drains whole 64-lane batches, for Parallelism × 64 learning machines
+	// in flight.
 	Parallelism int
-
-	// DisablePacked routes the single- and multiple-node simulation sweeps
-	// through the scalar engine one injection at a time instead of packing
-	// PackedLanes injections per word through the scheduled packed runner.
-	// Results are bit-identical either way (the differential suite
-	// enforces it); the flag exists as a debug escape hatch and for the
-	// equivalence tests themselves.
-	DisablePacked bool
-
-	// PackedLanes caps how many learning machines are packed per scheduled
-	// batch (default and maximum logic.W = 64, the word width; lower
-	// values exercise lane-boundary handling in tests). Ignored when
-	// DisablePacked is set.
-	PackedLanes int
 
 	// Cancel, when non-nil, aborts the run cooperatively: it is checked
 	// between phases and at injection boundaries of the single- and
@@ -137,9 +123,6 @@ func (o *Options) defaults() {
 		o.MaxPairsPerStem = 1 << 20
 	}
 	o.Parallelism = sim.ClampWorkers(o.Parallelism)
-	if o.PackedLanes <= 0 || o.PackedLanes > logic.W {
-		o.PackedLanes = logic.W
-	}
 }
 
 // Normalized returns the options with unset fields folded to their
@@ -230,15 +213,20 @@ type learner struct {
 	db  *imply.DB // mutable builder, frozen into res.DB by finish
 	res *Result
 
-	// engines holds one scheduled simulator per worker; engines[0] doubles
-	// as the serial engine. Tie constants are kept in sync via setTies.
-	engines []*sim.Engine
-
-	// packed holds one 64-lane scheduled simulator per worker (nil when
-	// Options.DisablePacked): the single- and multiple-node sweeps batch
-	// their injections through these, PackedLanes machines per run. Tie
-	// constants are kept in sync with the scalar pool via setTies.
+	// packed holds one 64-lane scheduled simulator per worker: the single-
+	// and multiple-node sweeps batch their injections through these, lanes
+	// machines per run (logic.W; the equivalence tests lower it to
+	// exercise lane boundaries). Tie constants are kept in sync via
+	// setTies.
 	packed []*sim.PackedEngine
+	lanes  int
+
+	// scalar, set only by the in-package equivalence tests, routes the
+	// sweeps one injection at a time through a pool of scalar engines
+	// instead (engines, built only on this route): the reference the
+	// packed route must reproduce bit for bit.
+	scalar  bool
+	engines []*sim.Engine
 
 	// records per class: observed literal -> producing stem assignments.
 	records []map[imply.Lit][]record
@@ -278,15 +266,14 @@ type rowKey struct {
 
 // Learn runs the full sequential learning flow on c.
 func Learn(c *netlist.Circuit, opt Options) *Result {
-	return learnWith(c, opt, nil)
+	return newLearner(c, opt, nil).run()
 }
 
-// learnWith is Learn with an optional sweep-workload recorder attached.
-func learnWith(c *netlist.Circuit, opt Options, trace *SweepWorkload) *Result {
+// newLearner prepares one Learn invocation, with an optional
+// sweep-workload recorder attached, on the packed route.
+func newLearner(c *netlist.Circuit, opt Options, trace *SweepWorkload) *learner {
 	opt.defaults()
-	start := time.Now()
-
-	l := &learner{
+	return &learner{
 		trace:    trace,
 		c:        c,
 		opt:      opt,
@@ -294,13 +281,21 @@ func learnWith(c *netlist.Circuit, opt Options, trace *SweepWorkload) *Result {
 		res:      &Result{Ties: map[netlist.NodeID]logic.V{}},
 		tieFrame: map[netlist.NodeID]int{},
 		rowCache: map[rowKey]*sim.Result{},
+		lanes:    logic.W,
 	}
-	l.engines = make([]*sim.Engine, opt.Parallelism)
-	l.engines[0] = sim.NewEngine(c)
-	for i := 1; i < len(l.engines); i++ {
-		l.engines[i] = l.engines[0].Clone()
-	}
-	if !opt.DisablePacked {
+}
+
+// run executes the learning flow on the selected route.
+func (l *learner) run() *Result {
+	c, opt := l.c, l.opt
+	start := time.Now()
+	if l.scalar {
+		l.engines = make([]*sim.Engine, opt.Parallelism)
+		l.engines[0] = sim.NewEngine(c)
+		for i := 1; i < len(l.engines); i++ {
+			l.engines[i] = l.engines[0].Clone()
+		}
+	} else {
 		l.packed = make([]*sim.PackedEngine, opt.Parallelism)
 		l.packed[0] = sim.NewPackedEngine(c)
 		for i := 1; i < len(l.packed); i++ {
@@ -453,8 +448,9 @@ type stemRows struct {
 
 // singleNode runs the single-node learning phase for one class: the stem
 // injections are sharded over the worker pool — packed into 64-lane
-// batches unless DisablePacked — then recorded by a serial merge in stem
-// order, so the outcome is identical to a serial scalar sweep.
+// batches except on the scalar test route — then recorded by a serial
+// merge in stem order, so the outcome is identical to a serial scalar
+// sweep.
 func (l *learner) singleNode(cls int32, records map[imply.Lit][]record) {
 	modes := sim.PropModes(l.c, nil, cls)
 	stems := l.stemsFor(cls)
@@ -470,11 +466,11 @@ func (l *learner) singleNode(cls int32, records map[imply.Lit][]record) {
 	// (each stem appears once per pass), so it is frozen here and the
 	// workers read it lock-free; new entries are inserted by the merge.
 	out := make([]stemRows, len(stems))
-	if l.packed != nil {
+	if !l.scalar {
 		l.singleNodePacked(stems, opt, out)
 	} else {
-		l.runParallel(len(stems), func(eng *sim.Engine, i int) {
-			s := stems[i]
+		l.runParallel(len(stems), func(w, i int) {
+			eng, s := l.engines[w], stems[i]
 			for _, v := range []logic.V{logic.Zero, logic.One} {
 				if cached, ok := l.rowCache[rowKey{stem: s, val: v}]; ok {
 					out[i].rows[v-logic.Zero] = *cached
@@ -672,8 +668,8 @@ func (l *learner) collectImplied(lit imply.Lit, frame sim.Frame, o *targetOut) {
 // multiNode runs the multiple-node learning phase for one class. Targets
 // are independent within a pass (ties proven here are applied only
 // afterwards), so they shard over the worker pool — packed into 64-lane
-// batches unless DisablePacked; the serial merge in sorted target order
-// reproduces the serial scalar pass exactly.
+// batches except on the scalar test route; the serial merge in sorted
+// target order reproduces the serial scalar pass exactly.
 func (l *learner) multiNode(cls int32, records map[imply.Lit][]record) {
 	ties := l.tiesForSim()
 	modes := sim.PropModes(l.c, ties, cls)
@@ -700,10 +696,10 @@ func (l *learner) multiNode(cls int32, records map[imply.Lit][]record) {
 	// Parallel sweep. Workers read l.res.Ties and records but never write
 	// shared state; every observation lands in the target's private shard.
 	out := make([]targetOut, len(targets))
-	if l.packed != nil {
+	if !l.scalar {
 		l.multiNodePacked(targets, records, opt, out)
 	} else {
-		l.runParallel(len(targets), func(eng *sim.Engine, i int) {
+		l.runParallel(len(targets), func(w, i int) {
 			lit := targets[i]
 			o := &out[i]
 			inj := l.prepTarget(lit, records[lit], o)
@@ -712,7 +708,7 @@ func (l *learner) multiNode(cls int32, records map[imply.Lit][]record) {
 			}
 			lopt := opt
 			lopt.MaxFrames = o.T + 1
-			res := eng.Run(inj, lopt)
+			res := l.engines[w].Run(inj, lopt)
 			o.simmed = true
 			o.frames = len(res.Frames)
 			if res.Conflict {

@@ -12,7 +12,7 @@ import (
 )
 
 // This file routes the learning hot path through sim.PackedEngine: instead
-// of one scalar Engine.Run per injection, up to Options.PackedLanes stem or
+// of one scalar Engine.Run per injection, up to 64 (logic.W) stem or
 // target injections pack into the lanes of one scheduled run, so a single
 // compiled-program sweep advances 64 learning machines at once. Packing
 // composes with the worker sharding in parallel.go — each worker drains
@@ -39,15 +39,15 @@ func compareSchedules(a, b []sim.Injection) int {
 	return cmp.Compare(len(a), len(b))
 }
 
-// batchCount returns how many PackedLanes-sized batches cover n jobs.
+// batchCount returns how many lanes-sized batches cover n jobs.
 func (l *learner) batchCount(n int) int {
-	return (n + l.opt.PackedLanes - 1) / l.opt.PackedLanes
+	return (n + l.lanes - 1) / l.lanes
 }
 
 // batchSpan returns the job range [lo, hi) of batch b.
 func (l *learner) batchSpan(b, n int) (lo, hi int) {
-	lo = b * l.opt.PackedLanes
-	hi = lo + l.opt.PackedLanes
+	lo = b * l.lanes
+	hi = lo + l.lanes
 	if hi > n {
 		hi = n
 	}
@@ -76,7 +76,8 @@ func (l *learner) singleNodePacked(stems []netlist.NodeID, opt sim.Options, out 
 			jobs = append(jobs, job{idx: i, vi: vi, val: v})
 		}
 	}
-	l.runPackedParallel(l.batchCount(len(jobs)), func(pe *sim.PackedEngine, b int) {
+	l.runParallel(l.batchCount(len(jobs)), func(w, b int) {
+		pe := l.packed[w]
 		lo, hi := l.batchSpan(b, len(jobs))
 		runs := make([]sim.LaneRun, hi-lo)
 		injs := make([]sim.Injection, hi-lo)
@@ -95,13 +96,13 @@ func (l *learner) singleNodePacked(stems []netlist.NodeID, opt sim.Options, out 
 
 // multiNodePacked is the packed counterpart of the multiple-node worker
 // body: stage one derives every target's necessary-assignment schedule
-// (engine-free, sharded over the scalar worker pool), stage two packs the
+// (engine-free, sharded over the workers), stage two packs the
 // targets that need simulation into lane batches with per-lane T+1 frame
 // caps. Conflicts and implied assignments land in target-private shards,
 // exactly as the scalar path leaves them.
 func (l *learner) multiNodePacked(targets []imply.Lit, records map[imply.Lit][]record, opt sim.Options, out []targetOut) {
 	injs := make([][]sim.Injection, len(targets))
-	l.runParallel(len(targets), func(_ *sim.Engine, i int) {
+	l.runParallel(len(targets), func(_, i int) {
 		injs[i] = l.prepTarget(targets[i], records[targets[i]], &out[i])
 	})
 	simIdx := make([]int, 0, len(targets))
@@ -125,7 +126,8 @@ func (l *learner) multiNodePacked(targets []imply.Lit, records map[imply.Lit][]r
 		return compareSchedules(injs[a], injs[b])
 	})
 	opt.NoFrameRecords = true // only Captured frame T is read back
-	l.runPackedParallel(l.batchCount(len(simIdx)), func(pe *sim.PackedEngine, b int) {
+	l.runParallel(l.batchCount(len(simIdx)), func(w, b int) {
+		pe := l.packed[w]
 		lo, hi := l.batchSpan(b, len(simIdx))
 		runs := make([]sim.LaneRun, hi-lo)
 		for k := range runs {

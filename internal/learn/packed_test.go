@@ -5,7 +5,32 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/netlist"
 )
+
+// learnScalar runs Learn on the scalar reference route: every sweep
+// injection through a scalar engine, one at a time. It fails the test if
+// the packed pool was built instead, which would make every comparison
+// against it vacuous.
+func learnScalar(t *testing.T, c *netlist.Circuit, opt Options) *Result {
+	t.Helper()
+	l := newLearner(c, opt, nil)
+	l.scalar = true
+	res := l.run()
+	if l.packed != nil || len(l.engines) == 0 {
+		t.Fatal("scalar reference route not taken")
+	}
+	return res
+}
+
+// learnLanes runs Learn on the packed route with at most lanes learning
+// machines per batch, exercising lane-boundary handling below the word
+// width.
+func learnLanes(c *netlist.Circuit, opt Options, lanes int) *Result {
+	l := newLearner(c, opt, nil)
+	l.lanes = lanes
+	return l.run()
+}
 
 // TestPackedLearningEquivalence is the packed learner's contract: for
 // every batch size and worker count, routing the single- and multiple-node
@@ -15,14 +40,10 @@ import (
 func TestPackedLearningEquivalence(t *testing.T) {
 	for _, name := range []string{"s953", "s1423"} {
 		c := gen.MustBuild(name)
-		base := dumpResult(c, Learn(c, Options{
-			Parallelism: 1, KeepRows: true, DisablePacked: true,
-		}))
+		base := dumpResult(c, learnScalar(t, c, Options{Parallelism: 1, KeepRows: true}))
 		for _, lanes := range []int{1, 7, 64} {
 			for _, p := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-				got := dumpResult(c, Learn(c, Options{
-					Parallelism: p, KeepRows: true, PackedLanes: lanes,
-				}))
+				got := dumpResult(c, learnLanes(c, Options{Parallelism: p, KeepRows: true}, lanes))
 				if got != base {
 					t.Fatalf("%s: packed lanes=%d workers=%d dump differs from scalar serial run (%d vs %d bytes)",
 						name, lanes, p, len(got), len(base))
@@ -47,10 +68,9 @@ func TestPackedLearningEquivalenceAblations(t *testing.T) {
 	for i, opt := range opts {
 		scalar := opt
 		scalar.Parallelism = 1
-		scalar.DisablePacked = true
 		packed := opt
 		packed.Parallelism = 4
-		if dumpResult(c, Learn(c, scalar)) != dumpResult(c, Learn(c, packed)) {
+		if dumpResult(c, learnScalar(t, c, scalar)) != dumpResult(c, Learn(c, packed)) {
 			t.Fatalf("option set %d: packed dump differs from scalar serial run", i)
 		}
 	}
@@ -61,11 +81,9 @@ func TestPackedLearningEquivalenceAblations(t *testing.T) {
 // same result across class passes.
 func TestPackedLearningMultiClock(t *testing.T) {
 	c := multiClockCircuit(5)
-	base := dumpResult(c, Learn(c, Options{
-		Parallelism: 1, MaxFrames: 10, DisablePacked: true,
-	}))
+	base := dumpResult(c, learnScalar(t, c, Options{Parallelism: 1, MaxFrames: 10}))
 	for _, lanes := range []int{3, 64} {
-		got := dumpResult(c, Learn(c, Options{Parallelism: 2, MaxFrames: 10, PackedLanes: lanes}))
+		got := dumpResult(c, learnLanes(c, Options{Parallelism: 2, MaxFrames: 10}, lanes))
 		if got != base {
 			t.Fatalf("multi-clock packed lanes=%d dump differs from scalar serial run", lanes)
 		}

@@ -6,95 +6,60 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sim"
 )
 
-// runParallel dispatches fn(engine, i) for i in [0, n) over the learner's
-// worker pool. Each invocation gets a worker-private engine; items are
-// handed out by an atomic counter, so the assignment of items to workers
-// is arbitrary — callers must write only to item-private shards and merge
-// them in item order afterwards. With one engine (Parallelism: 1) the
+// runParallel dispatches fn(w, i) for i in [0, n) over Options.Parallelism
+// workers. w is the worker's index in [0, Parallelism): it selects the
+// worker-private engine (l.packed[w], or l.engines[w] on the scalar
+// route), so no two concurrent invocations share one. Items are handed out
+// by an atomic counter, so the assignment of items to workers is
+// arbitrary — callers must write only to item-private shards and merge
+// them in item order afterwards. With one worker (Parallelism: 1) the
 // sweep runs inline on the caller's goroutine.
 //
 // A fired Options.Cancel stops the dispatch at the next item boundary —
 // sweeps of a canceled run end promptly with unprocessed items left
 // zero-valued, which is fine because a canceled Result is discard-only.
-func (l *learner) runParallel(n int, fn func(eng *sim.Engine, i int)) {
-	if len(l.engines) == 1 || n <= 1 {
+func (l *learner) runParallel(n int, fn func(w, i int)) {
+	workers := min(l.opt.Parallelism, n)
+	if workers <= 1 {
 		for i := 0; i < n && !l.canceled(); i++ {
-			fn(l.engines[0], i)
+			fn(0, i)
 		}
 		return
-	}
-	workers := len(l.engines)
-	if workers > n {
-		workers = n
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(eng *sim.Engine) {
+		go func() {
 			defer wg.Done()
 			for !l.canceled() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(eng, i)
+				fn(w, i)
 			}
-		}(l.engines[w])
+		}()
 	}
 	wg.Wait()
 }
 
-// runPackedParallel is runParallel over the packed engine pool: it
-// dispatches fn(engine, b) for b in [0, n) with a worker-private packed
-// engine per invocation, handing batches out by an atomic counter. Like
-// runParallel, it stops dispatching at batch boundaries once the run's
-// Cancel fires.
-func (l *learner) runPackedParallel(n int, fn func(pe *sim.PackedEngine, b int)) {
-	if len(l.packed) == 1 || n <= 1 {
-		for b := 0; b < n && !l.canceled(); b++ {
-			fn(l.packed[0], b)
-		}
-		return
-	}
-	workers := len(l.packed)
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(pe *sim.PackedEngine) {
-			defer wg.Done()
-			for !l.canceled() {
-				b := int(next.Add(1)) - 1
-				if b >= n {
-					return
-				}
-				fn(pe, b)
-			}
-		}(l.packed[w])
-	}
-	wg.Wait()
-}
-
-// setTies installs the tie constants on every worker engine, scalar and
-// packed. The closure under constant propagation is computed once per pool
+// setTies installs the tie constants on every worker engine of the route's
+// pool. The closure under constant propagation is computed once per pool
 // and copied to the clones.
 func (l *learner) setTies(ties map[netlist.NodeID]logic.V) {
 	l.curTies = ties
-	l.engines[0].SetTies(ties)
-	for _, e := range l.engines[1:] {
-		e.CopyTies(l.engines[0])
-	}
-	if l.packed != nil {
-		l.packed[0].SetTies(ties)
-		for _, e := range l.packed[1:] {
-			e.CopyTies(l.packed[0])
+	if l.scalar {
+		l.engines[0].SetTies(ties)
+		for _, e := range l.engines[1:] {
+			e.CopyTies(l.engines[0])
 		}
+		return
+	}
+	l.packed[0].SetTies(ties)
+	for _, e := range l.packed[1:] {
+		e.CopyTies(l.packed[0])
 	}
 }

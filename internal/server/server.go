@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/atpg"
 	"repro/internal/bench"
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -108,7 +107,8 @@ func (c *Config) defaults() {
 type Server struct {
 	cfg     Config
 	store   *store.Store
-	pool    *fairQueue // tenant-fair slot pool + bounded admission queue
+	sem     chan struct{}
+	queue   chan struct{} // admission-queue tokens; full = shed with 429
 	mux     *http.ServeMux
 	start   time.Time
 	reg     *obs.Registry
@@ -131,8 +131,7 @@ type Server struct {
 	// service time (nanoseconds), feeding the Retry-After estimate.
 	svcNanos atomic.Int64
 
-	served  map[string]*obs.Counter
-	tenants *tenantMetrics
+	served map[string]*obs.Counter
 }
 
 // New returns a server ready to be attached to an http.Server.
@@ -143,7 +142,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		store:   store.New(cfg.Store),
-		pool:    newFairQueue(cfg.MaxConcurrent, cfg.MaxQueue),
+		sem:     make(chan struct{}, cfg.MaxConcurrent),
+		queue:   make(chan struct{}, cfg.MaxQueue),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 		reg:     reg,
@@ -161,7 +161,6 @@ func New(cfg Config) *Server {
 		"Header-only requests served from the resident cache without a netlist body.")
 	s.fastMiss = reg.Counter("seqlearnd_fingerprint_fast_misses_total",
 		"Header-only requests answered 428 because the fingerprint was not resident.")
-	s.tenants = newTenantMetrics(reg)
 	s.served = map[string]*obs.Counter{}
 	for _, ep := range computeEndpoints {
 		s.served[ep] = reg.Counter("seqlearnd_served_total",
@@ -199,71 +198,53 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Store() *store.Store { return s.store }
 
 // acquire admits the request to the compute pool: immediately when a slot
-// is free, through the tenant-fair admission queue when not, and with a
-// 429 + Retry-After rejection when the total queue is full. ctx is the
-// request's effective deadline context (requestContext); expiry while
-// queued answers 504, client disconnect 503 — either way the queue
-// position is released. It returns a release func, or false after writing
-// the error response.
-func (s *Server) acquire(w http.ResponseWriter, ctx context.Context, ep, tenant string) (func(), bool) {
+// is free, through the bounded admission queue when not, and with a 429 +
+// Retry-After rejection when even the queue is full. ctx is the request's
+// effective deadline context (requestContext); expiry while queued answers
+// 504, client disconnect 503 — either way the queue position is released.
+// Waiters are admitted in arrival order: a freed slot goes to the longest
+// blocked sender on sem, so a new arrival cannot barge past the queue.
+// It returns a release func, or false after writing the error response.
+func (s *Server) acquire(w http.ResponseWriter, ctx context.Context, ep string) (func(), bool) {
 	enter := time.Now()
 	// Fast path: a free slot, no queueing.
-	if s.pool.TryAcquire() {
+	select {
+	case s.sem <- struct{}{}:
 		s.observeQueueWait(ep, time.Since(enter))
 		return s.slotAcquired(ep), true
+	default:
 	}
 
-	// Tenant-fair admission: queue under this request's tenant; freed
-	// slots are dispatched round-robin across tenants with waiters. A full
-	// total queue means the daemon is already pool+queue deep in work;
-	// waiting longer only builds an unbounded backlog, so answer now with
-	// an honest retry hint instead.
-	err := func() error {
-		s.queued.Add(1)
-		sp := obs.TraceFrom(ctx).Root().Start("queue_wait")
-		defer func() {
-			sp.End()
-			s.queued.Add(-1)
-		}()
-		return s.pool.Acquire(ctx, tenant)
-	}()
-	switch {
-	case err == nil:
-		s.observeQueueWait(ep, time.Since(enter))
-		return s.slotAcquired(ep), true
-	case errors.Is(err, errQueueFull):
+	// Admission control: take a queue token or shed. A full queue means
+	// the daemon is already pool+queue deep in work; waiting longer only
+	// builds an unbounded backlog, so answer now with an honest retry
+	// hint instead.
+	select {
+	case s.queue <- struct{}{}:
+	default:
 		s.shed.Inc()
-		s.tenants.shed(tenant).Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		s.writeError(w, http.StatusTooManyRequests,
 			fmt.Errorf("compute pool and admission queue full; retry after the advised delay"))
 		return nil, false
-	default:
-		code, cerr := s.cancelStatus(ctx, "while queued")
-		s.writeError(w, code, cerr)
+	}
+	s.queued.Add(1)
+	sp := obs.TraceFrom(ctx).Root().Start("queue_wait")
+	defer func() {
+		sp.End()
+		s.queued.Add(-1)
+		<-s.queue
+	}()
+
+	select {
+	case s.sem <- struct{}{}:
+		s.observeQueueWait(ep, time.Since(enter))
+		return s.slotAcquired(ep), true
+	case <-ctx.Done():
+		code, err := s.cancelStatus(ctx, "while queued")
+		s.writeError(w, code, err)
 		return nil, false
 	}
-}
-
-// tenantOf extracts and validates the request's tenant from the X-Tenant
-// header ("default" when absent). Tenants are caller-chosen identifiers
-// that end up as metric labels, so the accepted alphabet is restricted.
-func tenantOf(r *http.Request) (string, error) {
-	t := r.Header.Get(TenantHeader)
-	if t == "" {
-		return "default", nil
-	}
-	if len(t) > 64 {
-		return "", fmt.Errorf("X-Tenant longer than 64 bytes")
-	}
-	for i := 0; i < len(t); i++ {
-		c := t[i]
-		if (c < 'a' || c > 'z') && (c < 'A' || c > 'Z') && (c < '0' || c > '9') &&
-			c != '-' && c != '_' && c != '.' {
-			return "", fmt.Errorf("X-Tenant %q: only [A-Za-z0-9._-] allowed", t)
-		}
-	}
-	return t, nil
 }
 
 // observeQueueWait feeds the per-endpoint queue-wait histogram (absent for
@@ -287,7 +268,7 @@ func (s *Server) slotAcquired(ep string) func() {
 			h.Observe(held.Seconds())
 		}
 		s.inFlight.Add(-1)
-		s.pool.Release()
+		<-s.sem
 	}
 }
 
@@ -315,8 +296,8 @@ func (s *Server) retryAfterSeconds() int {
 	if avg <= 0 {
 		avg = time.Second
 	}
-	ahead := s.pool.Depth() + 1
-	wait := avg * time.Duration(ahead) / time.Duration(s.pool.Slots())
+	ahead := len(s.queue) + 1
+	wait := avg * time.Duration(ahead) / time.Duration(cap(s.sem))
 	secs := int((wait + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -356,16 +337,13 @@ func (s *Server) cancelStatus(ctx context.Context, when string) (int, error) {
 
 // FingerprintHeader is the request header carrying a learning-artifact
 // fingerprint for the body-less fast path: a client that already holds the
-// fingerprint of (circuit, learn options) — from any instance of a fleet —
-// sends just the header, skipping the netlist upload, re-parse and re-hash
-// on warm requests. The daemon answers from its resident cache, or with
-// 428 Precondition Required when the artifact is not in memory, telling
-// the client to re-send the body once (which re-warms this instance).
+// fingerprint of (circuit, learn options) — from any instance sharing the
+// cache directory — sends just the header, skipping the netlist upload,
+// re-parse and re-hash on warm requests. The daemon answers from its
+// resident cache, or with 428 Precondition Required when the artifact is
+// not in memory, telling the client to re-send the body once (which
+// re-warms this instance).
 const FingerprintHeader = "X-Circuit-Fingerprint"
-
-// TenantHeader names the request's tenant for fair scheduling and
-// per-tenant metrics ("default" when absent).
-const TenantHeader = "X-Tenant"
 
 // fastPathArtifact resolves the body-less fingerprint fast path. It
 // returns (artifact, true) when the request is header-only and the
@@ -423,14 +401,6 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant, err := tenantOf(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Counted at handler entry, not in acquire: fingerprint fast-path hits
-	// bypass the pool but are still this tenant's requests.
-	s.tenants.requests(tenant).Inc()
 
 	var (
 		c   *netlist.Circuit
@@ -454,7 +424,7 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	tr := obs.TraceFrom(ctx)
 	if art == nil {
-		release, ok := s.acquire(w, ctx, "learn", tenant)
+		release, ok := s.acquire(w, ctx, "learn")
 		if !ok {
 			return
 		}
@@ -507,14 +477,6 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant, err := tenantOf(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Counted at handler entry, not in acquire: fingerprint fast-path hits
-	// bypass the pool but are still this tenant's requests.
-	s.tenants.requests(tenant).Inc()
 
 	var (
 		c   *netlist.Circuit
@@ -536,7 +498,7 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, params.Learn.Timeout)
 	defer cancel()
-	release, ok := s.acquire(w, ctx, "atpg", tenant)
+	release, ok := s.acquire(w, ctx, "atpg")
 	if !ok {
 		return
 	}
@@ -570,10 +532,6 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 	// driver's cooperative cancellation, checked at every fault boundary,
 	// and a canceled run is never cached.
 	opt.Cancel = ctx.Done()
-	if params.Partition != "" {
-		s.serveATPGPartition(w, ctx, tr, start, params, c, art, src, opt)
-		return
-	}
 	asp := tr.Root().Start("atpg")
 	opt.Span = asp
 	// Resolve through the test-set cache against the artifact's canonical
@@ -633,62 +591,6 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, resp)
 }
 
-// serveATPGPartition runs one speculative shard of a partitioned ATPG run
-// (?partition=i/n) and returns the raw per-position results. Shards are
-// never cached — a shard is not a test set, and the merge (client-side,
-// atpg.MergePartitions) is where dropping, seeding and compaction happen.
-func (s *Server) serveATPGPartition(w http.ResponseWriter, ctx context.Context, tr *obs.Trace,
-	start time.Time, params ATPGParams, c *netlist.Circuit, art *store.Artifact,
-	src store.Source, opt atpg.RunOptions) {
-	part, err := atpg.ParsePartition(params.Partition)
-	if err != nil {
-		// Already validated at query decode; kept as a guard.
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	psp := tr.Root().Start("atpg_partition")
-	opt.Span = psp
-	// Run against the artifact's canonical circuit instance: the learned
-	// snapshot's node ids refer to it, and fault enumeration order — which
-	// the partition contract depends on — is a property of that instance.
-	pres := atpg.RunPartition(art.Circuit, opt, part)
-	psp.Add("positions", int64(len(pres.Positions)))
-	psp.End()
-	if pres.Canceled {
-		code, cerr := s.cancelStatus(ctx, "mid-run")
-		s.writeError(w, code, cerr)
-		return
-	}
-	s.served["atpg"].Inc()
-	resp := ATPGPartitionResponse{
-		Circuit:     c.Name,
-		Fingerprint: art.Fingerprint,
-		Cache:       src.String(),
-		Partition:   pres.Partition.String(),
-		Total:       pres.Total,
-		Results:     make([]ATPGPartitionEntry, len(pres.Positions)),
-		Generated:   pres.Generated,
-		Backtracks:  pres.Backtracks,
-		ElapsedMS:   ms(time.Since(start)),
-	}
-	for i, pos := range pres.Positions {
-		g := pres.Results[i]
-		e := ATPGPartitionEntry{
-			Position:   pos,
-			Outcome:    g.Outcome.String(),
-			Backtracks: g.Backtracks,
-		}
-		if g.Outcome == atpg.Detected {
-			e.Test = FormatTest(g.Test)
-		}
-		resp.Results[i] = e
-	}
-	if params.Learn.Trace {
-		resp.Trace = tr.JSON()
-	}
-	s.writeJSON(w, resp)
-}
-
 func (s *Server) handleFaultSim(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	params, err := faultSimParamsFromQuery(r.URL.Query())
@@ -696,14 +598,6 @@ func (s *Server) handleFaultSim(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant, err := tenantOf(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Counted at handler entry, not in acquire: fingerprint fast-path hits
-	// bypass the pool but are still this tenant's requests.
-	s.tenants.requests(tenant).Inc()
 	c, ok := s.readCircuit(w, r)
 	if !ok {
 		return
@@ -712,7 +606,7 @@ func (s *Server) handleFaultSim(w http.ResponseWriter, r *http.Request) {
 	// deadline still bounds time spent waiting in the admission queue.
 	ctx, cancel := s.requestContext(r, params.Timeout)
 	defer cancel()
-	release, ok := s.acquire(w, ctx, "faultsim", tenant)
+	release, ok := s.acquire(w, ctx, "faultsim")
 	if !ok {
 		return
 	}
@@ -813,7 +707,6 @@ func (s *Server) StatsSnapshot() StatsResponse {
 		Degraded:   cache.Degraded,
 		Draining:   s.draining.Load(),
 		Served:     served,
-		Tenants:    s.tenants.snapshot(s.pool.DepthByTenant()),
 	}
 }
 

@@ -247,20 +247,25 @@ func TestBadRequests(t *testing.T) {
 		name, method, path string
 		body               string
 		wantCode           int
+		wantErr            string // substring of the error body, when set
 	}{
-		{"bad bench", "POST", "/v1/learn", "WIBBLE(", http.StatusBadRequest},
-		{"bad mode", "POST", "/v1/atpg?mode=psychic", body, http.StatusBadRequest},
-		{"bad int", "POST", "/v1/learn?max_frames=many", body, http.StatusBadRequest},
-		{"bad bool", "POST", "/v1/atpg?compact=maybe", body, http.StatusBadRequest},
+		{"bad bench", "POST", "/v1/learn", "WIBBLE(", http.StatusBadRequest, ""},
+		{"bad mode", "POST", "/v1/atpg?mode=psychic", body, http.StatusBadRequest, ""},
+		{"bad int", "POST", "/v1/learn?max_frames=many", body, http.StatusBadRequest, ""},
+		{"bad bool", "POST", "/v1/atpg?compact=maybe", body, http.StatusBadRequest, ""},
 		// Misspelled or unsupported parameters are rejected, not silently
 		// ignored: a remote ablation run that dropped no_early_stop would
 		// report the wrong experiment.
-		{"unknown learn param", "POST", "/v1/learn?no_earlystop=1", body, http.StatusBadRequest},
-		{"atpg param on learn", "POST", "/v1/learn?backtracks=30", body, http.StatusBadRequest},
-		{"unknown atpg param", "POST", "/v1/atpg?backtrack=30", body, http.StatusBadRequest},
-		{"unknown faultsim param", "POST", "/v1/faultsim?frame=12", body, http.StatusBadRequest},
-		{"wrong method", "GET", "/v1/learn", "", http.StatusMethodNotAllowed},
-		{"unknown path", "POST", "/v1/psychic", body, http.StatusNotFound},
+		{"unknown learn param", "POST", "/v1/learn?no_earlystop=1", body, http.StatusBadRequest, ""},
+		{"atpg param on learn", "POST", "/v1/learn?backtracks=30", body, http.StatusBadRequest, ""},
+		{"unknown atpg param", "POST", "/v1/atpg?backtrack=30", body, http.StatusBadRequest, ""},
+		{"unknown faultsim param", "POST", "/v1/faultsim?frame=12", body, http.StatusBadRequest, ""},
+		// The fault-list sharding parameter is gone; a caller still
+		// sending it must not silently get the whole fault list.
+		{"removed partition param", "POST", "/v1/atpg?partition=0/2", body, http.StatusBadRequest,
+			`unknown query parameter \"partition\"`},
+		{"wrong method", "GET", "/v1/learn", "", http.StatusMethodNotAllowed, ""},
+		{"unknown path", "POST", "/v1/psychic", body, http.StatusNotFound, ""},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
@@ -270,9 +275,13 @@ func TestBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.wantCode {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantCode)
+		}
+		if tc.wantErr != "" && !strings.Contains(string(data), tc.wantErr) {
+			t.Errorf("%s: body %s, want it to contain %s", tc.name, data, tc.wantErr)
 		}
 	}
 }

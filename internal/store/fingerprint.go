@@ -21,8 +21,6 @@ import (
 //
 // Options that cannot change the learned relations are excluded:
 // Parallelism (sharded learning is bit-identical for every worker count),
-// DisablePacked and PackedLanes (the packed and scalar simulation routes
-// are bit-identical for every lane count — TestPackedLearningEquivalence),
 // KeepRows (affects only the Table 1 row dump), and Cancel (an execution
 // knob; canceled runs are never cached at all). Unset options are folded
 // to their effective defaults first, so an explicit

@@ -86,9 +86,9 @@ func TestCached(t *testing.T) {
 	}
 }
 
-// TestPeerDiskHitStats pins the fleet observability contract: a disk
-// reload of an artifact another instance persisted counts as a peer disk
-// hit; reloading your own evicted artifact does not.
+// TestPeerDiskHitStats pins the shared-cache observability contract: a
+// disk reload of an artifact another instance persisted counts as a peer
+// disk hit; reloading your own evicted artifact does not.
 func TestPeerDiskHitStats(t *testing.T) {
 	dir := t.TempDir()
 	c := gen.MustBuild("s382")

@@ -145,7 +145,7 @@ type Stats struct {
 
 	// PeerDiskHits counts disk reloads of artifacts this instance did not
 	// write — another daemon sharing the cache dir learned them. The
-	// cross-instance amortization signal for fleet deployments.
+	// cross-instance amortization signal for a shared cache dir.
 	PeerDiskHits int64 `json:"peer_disk_hits"`
 
 	// LearnCanceled counts learning runs abandoned mid-flight (client gone
@@ -188,7 +188,7 @@ type Store struct {
 	// saved records the fingerprints this instance persisted to disk, so a
 	// disk reload can be classified as self (our own artifact, evicted or
 	// re-requested) or peer (written by another instance sharing the cache
-	// dir — the fleet's cross-instance amortization signal).
+	// dir — the cross-instance amortization signal).
 	saved sync.Map // fingerprint -> struct{}
 
 	mu       sync.Mutex
@@ -443,11 +443,12 @@ func (s *Store) build(fp string, c *netlist.Circuit, lopt learn.Options) (*Artif
 }
 
 // Cached returns the in-memory learning artifact for a fingerprint, if
-// resident — the fleet fast path: a client that already knows a circuit's
-// fingerprint sends just the header, and the server answers from memory or
-// asks for the body back (428). Disk is deliberately not consulted: the
-// on-disk format stores relations by node name and needs the circuit to
-// rebuild, which is exactly the upload the fast path exists to skip.
+// resident — the fingerprint fast path: a client that already knows a
+// circuit's fingerprint sends just the header, and the server answers from
+// memory or asks for the body back (428). Disk is deliberately not
+// consulted: the on-disk format stores relations by node name and needs the
+// circuit to rebuild, which is exactly the upload the fast path exists to
+// skip.
 func (s *Store) Cached(fp string) (*Artifact, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

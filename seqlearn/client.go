@@ -34,9 +34,6 @@ type (
 	ServiceLearnResult = server.LearnResponse
 	// ServiceATPGResult is the answer of a remote test-generation request.
 	ServiceATPGResult = server.ATPGResponse
-	// ServiceATPGPartitionResult is the answer of a remote partitioned
-	// test-generation shard (see Fleet).
-	ServiceATPGPartitionResult = server.ATPGPartitionResponse
 	// ServiceFaultSimResult is the answer of a remote fault-simulation
 	// request.
 	ServiceFaultSimResult = server.FaultSimResponse
@@ -93,10 +90,9 @@ func (p RetryPolicy) normalized() RetryPolicy {
 // The zero Client is not usable; construct with NewClient. A Client is
 // safe for concurrent use.
 type Client struct {
-	base   string
-	hc     *http.Client
-	retry  RetryPolicy
-	tenant string
+	base  string
+	hc    *http.Client
+	retry RetryPolicy
 
 	// fps remembers the daemon-reported learning-artifact fingerprint per
 	// (circuit, learn options): warm repeat requests send just the
@@ -134,12 +130,6 @@ func (cl *Client) SetHTTPClient(hc *http.Client) { cl.hc = hc }
 // Stats, Health and WaitHealthy never retry internally regardless — a
 // probe must report the daemon's state now, not eventually.
 func (cl *Client) SetRetryPolicy(p RetryPolicy) { cl.retry = p.normalized() }
-
-// SetTenant attaches the tenant name to every request (the X-Tenant
-// header), feeding the daemon's fair scheduling and per-tenant metrics.
-// Empty (the default) means the daemon's "default" tenant. Must be set
-// before the client is shared across goroutines.
-func (cl *Client) SetTenant(tenant string) { cl.tenant = tenant }
 
 // fpKey identifies a learning artifact from the client's side: the
 // circuit instance plus the learning options that shape the result.
@@ -197,28 +187,6 @@ func (cl *Client) GenerateTests(ctx context.Context, c *Circuit, p ServiceATPGPa
 	return res, err
 }
 
-// GenerateTestsPartition runs one shard of a partitioned ATPG run
-// (?partition=i/n): speculative per-position results with no fault
-// dropping, to be merged by Fleet (or atpg.MergePartitions directly)
-// into a result bit-identical to the unpartitioned run.
-func (cl *Client) GenerateTestsPartition(ctx context.Context, c *Circuit, p ServiceATPGParams, part PartitionSpec) (*ServiceATPGPartitionResult, error) {
-	p.Partition = part.String()
-	p.Reuse = ""
-	p.IncludeTests = false
-	key := learnFPKey(c, p.Learn)
-	if fp, ok := cl.fps.Load(key); ok {
-		res, miss, err := postFingerprint[ServiceATPGPartitionResult](ctx, cl, "/v1/atpg", p.Query(), c.Name, fp.(string))
-		if !miss {
-			return res, err
-		}
-	}
-	res, err := post[ServiceATPGPartitionResult](ctx, cl, "/v1/atpg", p.Query(), c)
-	if err == nil {
-		cl.fps.Store(key, res.Fingerprint)
-	}
-	return res, err
-}
-
 // SimulateFaults fault-simulates c's collapsed fault universe remotely
 // against the deterministic sequence selected by p.
 func (cl *Client) SimulateFaults(ctx context.Context, c *Circuit, p ServiceFaultSimParams) (*ServiceFaultSimResult, error) {
@@ -255,8 +223,8 @@ func postFingerprint[T any](ctx context.Context, cl *Client, path string, q url.
 }
 
 // request is the shared compute-request loop: replayable body, optional
-// fingerprint header, tenant header, retry policy. The bool result is
-// the fast-path miss signal (428; only possible when fp is set).
+// fingerprint header, retry policy. The bool result is the fast-path miss
+// signal (428; only possible when fp is set).
 func request[T any](ctx context.Context, cl *Client, path string, q url.Values, body []byte, fp string) (*T, bool, error) {
 	u := cl.base + path + "?" + q.Encode()
 	pol := cl.retry
@@ -270,9 +238,6 @@ func request[T any](ctx context.Context, cl *Client, path string, q url.Values, 
 		req.Header.Set("Content-Type", "text/plain")
 		if fp != "" {
 			req.Header.Set(server.FingerprintHeader, fp)
-		}
-		if cl.tenant != "" {
-			req.Header.Set(server.TenantHeader, cl.tenant)
 		}
 		resp, err := cl.hc.Do(req)
 		last := attempt >= pol.MaxAttempts
@@ -381,9 +346,6 @@ func get[T any](ctx context.Context, cl *Client, path string) (*T, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.base+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("seqlearn: client: %w", err)
-	}
-	if cl.tenant != "" {
-		req.Header.Set(server.TenantHeader, cl.tenant)
 	}
 	resp, err := cl.hc.Do(req)
 	if err != nil {

@@ -132,20 +132,3 @@ func TestClientFingerprintFastPath(t *testing.T) {
 		t.Fatal("distinct options share a fingerprint")
 	}
 }
-
-// TestClientTenantHeader: SetTenant flows through to the daemon's
-// per-tenant accounting.
-func TestClientTenantHeader(t *testing.T) {
-	srv := server.New(server.Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	cl := seqlearn.NewClient(ts.URL)
-	cl.SetTenant("ci-bots")
-	if _, err := cl.Learn(context.Background(), seqlearn.Figure2(), seqlearn.ServiceLearnParams{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.StatsSnapshot(); st.Tenants["ci-bots"].Requests != 1 {
-		t.Fatalf("tenant stats = %+v", st.Tenants)
-	}
-}
