@@ -26,6 +26,8 @@
 package atpg
 
 import (
+	"slices"
+
 	"repro/internal/fault"
 	"repro/internal/imply"
 	"repro/internal/learn"
@@ -143,6 +145,12 @@ type Result struct {
 
 // Generate runs PODEM for fault f over growing windows.
 func Generate(c *netlist.Circuit, f fault.Fault, opt Options) Result {
+	return newArena(c).generate(f, opt)
+}
+
+// generate is Generate on a reusable arena for the same circuit; the arena
+// is clean again when it returns.
+func (a *arena) generate(f fault.Fault, opt Options) Result {
 	opt.defaults()
 
 	// Tie shortcut: a node tied to its stuck value is untestable (the
@@ -154,19 +162,24 @@ func Generate(c *netlist.Circuit, f fault.Fault, opt Options) Result {
 	}
 
 	if opt.rels == nil {
-		opt.rels = buildRelIndex(c, opt.DB, opt.Mode, opt.UseCrossFrame)
+		opt.rels = buildRelIndex(a.e.c, opt.DB, opt.Mode, opt.UseCrossFrame)
 	}
 
+	a.e.reserve(slices.Max(opt.Windows))
+	a.start(f, &opt)
 	res := Result{Outcome: Untestable}
 	for _, w := range opt.Windows {
-		p := newPodem(c, f, w, &opt)
+		p := a.window(w)
 		out := p.search()
 		res.Backtracks += p.backtracks
+		if out == Detected {
+			res.Test = p.extractTest()
+		}
+		a.release(&p)
 		switch out {
 		case Detected:
 			res.Outcome = Detected
 			res.Window = w
-			res.Test = p.extractTest()
 			return res
 		case Aborted:
 			// Not proven for this window: the overall claim degrades.

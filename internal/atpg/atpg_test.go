@@ -412,14 +412,17 @@ func TestCrossFrameAssertsAcrossWindow(t *testing.T) {
 	opt := Options{BacktrackLimit: 10, Windows: []int{2}, Mode: ModeKnown, DB: lr.DB, UseCrossFrame: true}
 	opt.defaults()
 	opt.rels = buildRelIndex(c, opt.DB, opt.Mode, true)
-	e := newExpanded(c, f, 2, &opt)
+	a := newArena(c)
+	a.start(f, &opt)
+	p := a.window(2)
+	e := p.e
 	if !e.init() {
 		t.Fatal("init conflict")
 	}
 	if !e.assignPI(fnode{0, c.MustLookup("I2")}, logic.One) {
 		t.Fatal("assign conflict")
 	}
-	if got := e.values[1][c.MustLookup("F3")]; got != logic.Compose(logic.One, logic.One) {
+	if got := e.val(1, c.MustLookup("F3")); got != logic.Compose(logic.One, logic.One) {
 		t.Fatalf("F3@1 = %v, want 1 via cross-frame relation", got)
 	}
 }

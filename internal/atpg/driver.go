@@ -262,14 +262,15 @@ type runState struct {
 	res RunResult
 }
 
-// generate runs one PODEM search, timing it into the podem aggregate span
-// when one is attached. Safe from parallel workers: AddTime is atomic.
-func (st *runState) generate(i int) Result {
+// generate runs one PODEM search on the caller's arena, timing it into the
+// podem aggregate span when one is attached. Safe from parallel workers,
+// each with its own arena: AddTime is atomic.
+func (st *runState) generate(a *arena, i int) Result {
 	if st.podemSpan == nil {
-		return Generate(st.c, st.faults[i], st.genOptions(i))
+		return a.generate(st.faults[i], st.genOptions(i))
 	}
 	start := time.Now()
-	g := Generate(st.c, st.faults[i], st.genOptions(i))
+	g := a.generate(st.faults[i], st.genOptions(i))
 	st.podemSpan.AddTime(time.Since(start))
 	return g
 }
@@ -492,8 +493,10 @@ func (st *runState) compactTests() {
 }
 
 // runSerial is the classic driver loop: one PODEM search at a time, in
-// fault order, with a cancellation check at every fault boundary.
+// fault order, on one arena, with a cancellation check at every fault
+// boundary.
 func (st *runState) runSerial() {
+	a := newArena(st.c)
 	for i := range st.faults {
 		if st.canceled() {
 			st.res.Canceled = true
@@ -502,6 +505,6 @@ func (st *runState) runSerial() {
 		if st.dropped[st.slot[i]].Load() {
 			continue
 		}
-		st.process(i, st.generate(i))
+		st.process(i, st.generate(a, i))
 	}
 }

@@ -92,6 +92,7 @@ func (st *runState) runParallel(workers int) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			a := newArena(st.c)
 			for {
 				if stopped.Load() {
 					return
@@ -126,7 +127,7 @@ func (st *runState) runParallel(workers int) {
 					mu.Unlock()
 					continue
 				}
-				g := st.generate(i)
+				g := st.generate(a, i)
 				mu.Lock()
 				results[i] = g
 				state[i] = genDone
@@ -136,6 +137,7 @@ func (st *runState) runParallel(workers int) {
 		}()
 	}
 
+	var inline *arena // the coordinator's, made only if it regenerates
 	for i := 0; i < n; i++ {
 		if stopped.Load() {
 			st.res.Canceled = true
@@ -161,7 +163,10 @@ func (st *runState) runParallel(workers int) {
 				// are monotonic and only the coordinator writes them, so
 				// this cannot happen; regenerate inline so the merge stays
 				// provably serial-equivalent even if it ever did.
-				g = st.generate(i)
+				if inline == nil {
+					inline = newArena(st.c)
+				}
+				g = st.generate(inline, i)
 			}
 			st.process(i, g)
 		}

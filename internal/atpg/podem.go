@@ -28,8 +28,44 @@ type decision struct {
 	mark    int
 }
 
-func newPodem(c *netlist.Circuit, f fault.Fault, w int, opt *Options) *podem {
-	return &podem{c: c, f: f, opt: opt, e: newExpanded(c, f, w, opt)}
+// arena is one worker's reusable PODEM state: the flat expanded model and
+// the decision stack's storage. It serves every window of every fault its
+// owner searches, one search at a time, and is clean (all-X, nothing
+// marked or queued, empty trail) between searches. Arenas are owned by
+// their callers, never pooled, so none outlives the run that made it.
+type arena struct {
+	e     expanded
+	stack []decision
+	opt   Options // the options of the search in progress
+}
+
+func newArena(c *netlist.Circuit) *arena {
+	return &arena{e: expanded{c: c, nn: c.NumNodes(), tainted: make([]bool, c.NumNodes())}}
+}
+
+// start points the clean arena at fault f under opt and computes the
+// fault's taint. It keeps its own copy of the options, so searches borrow
+// nothing from the caller's frame.
+func (a *arena) start(f fault.Fault, opt *Options) {
+	a.opt = *opt
+	e := &a.e
+	e.f, e.mode, e.ties, e.ri = f, opt.Mode, opt.Ties, opt.rels
+	e.taint(f.Node)
+}
+
+// window starts a search of w frames for the arena's current fault;
+// release hands the storage back.
+func (a *arena) window(w int) podem {
+	a.e.reserve(w)
+	a.e.w = w
+	return podem{c: a.e.c, f: a.e.f, opt: &a.opt, e: &a.e, stack: a.stack[:0]}
+}
+
+// release rolls the arena back to clean after a window's search, keeping
+// the decision stack's storage for the next one.
+func (a *arena) release(p *podem) {
+	a.stack = p.stack[:0]
+	a.e.rollback(0)
 }
 
 // search runs the PODEM loop and classifies the window.
@@ -79,12 +115,11 @@ func (p *podem) search() Outcome {
 // nextObjective picks an activation or propagation objective and backtraces
 // it to an unassigned primary input decision.
 func (p *podem) nextObjective() (fnode, logic.V, bool) {
-	if p.e.dCount == 0 {
+	if len(p.e.dpos) == 0 {
 		// Activation: good value ¬stuck on the fault site in some frame.
 		want := p.f.Stuck.Not()
 		for t := 0; t < p.e.w; t++ {
-			v := p.e.values[t][p.f.Node]
-			if v != logic.X5 {
+			if p.e.val(t, p.f.Node) != logic.X5 {
 				continue
 			}
 			if at, val, ok := p.backtrace(fnode{t, p.f.Node}, want); ok {
@@ -93,22 +128,17 @@ func (p *podem) nextObjective() (fnode, logic.V, bool) {
 		}
 		return fnode{}, logic.X, false
 	}
-	// Propagation: D-frontier gates (output X, some input faulted).
-	for _, te := range p.e.trail {
-		if te.forbBit != 0 {
-			continue
-		}
-		v := p.e.values[te.at.t][te.at.n]
-		if !v.Faulted() {
-			continue
-		}
+	// Propagation: D-frontier gates (output X, some input faulted), found
+	// from the faulted value entries in trail order.
+	for _, pos := range p.e.dpos {
+		te := p.e.trail[pos]
 		for _, out := range p.c.Fanouts(te.at.n) {
 			nd := &p.c.Nodes[out]
 			if nd.Kind != netlist.KindGate {
 				continue
 			}
 			at := fnode{te.at.t, out}
-			if p.e.values[at.t][at.n] != logic.X5 {
+			if p.e.val(at.t, at.n) != logic.X5 {
 				continue
 			}
 			if obj, val, ok := p.frontierObjective(at); ok {
@@ -129,7 +159,7 @@ func (p *podem) frontierObjective(at fnode) (fnode, logic.V, bool) {
 		want = ctrl.Not()
 	}
 	for _, pin := range p.c.Fanin(at.n) {
-		if p.e.values[at.t][pin.Node] != logic.X5 {
+		if p.e.val(at.t, pin.Node) != logic.X5 {
 			continue
 		}
 		v := want
@@ -153,7 +183,7 @@ func (p *podem) backtrace(at fnode, v logic.V) (fnode, logic.V, bool) {
 		nd := &p.c.Nodes[at.n]
 		switch nd.Kind {
 		case netlist.KindPI:
-			if p.e.values[at.t][at.n] != logic.X5 {
+			if p.e.val(at.t, at.n) != logic.X5 {
 				return fnode{}, logic.X, false
 			}
 			return at, v, true
@@ -167,7 +197,7 @@ func (p *podem) backtrace(at fnode, v logic.V) (fnode, logic.V, bool) {
 			}
 			at = fnode{at.t - 1, pin.Node}
 		case netlist.KindGate:
-			if p.e.values[at.t][at.n] != logic.X5 {
+			if p.e.val(at.t, at.n) != logic.X5 {
 				return fnode{}, logic.X, false
 			}
 			pin, nv, ok := p.chooseInput(at, nd, v)
@@ -200,7 +230,7 @@ func (p *podem) chooseInput(at fnode, nd *netlist.Node, v logic.V) (netlist.Pin,
 		if eff == ctrl.Not() {
 			// All inputs must be non-controlling: pick any X input.
 			for _, pin := range fanin {
-				if p.e.values[at.t][pin.Node] == logic.X5 {
+				if p.e.val(at.t, pin.Node) == logic.X5 {
 					return pin, pinVal(pin, ctrl.Not()), true
 				}
 			}
@@ -211,7 +241,7 @@ func (p *podem) chooseInput(at fnode, nd *netlist.Node, v logic.V) (netlist.Pin,
 		var fallback *netlist.Pin
 		for i := range fanin {
 			pin := fanin[i]
-			if p.e.values[at.t][pin.Node] != logic.X5 {
+			if p.e.val(at.t, pin.Node) != logic.X5 {
 				continue
 			}
 			if fallback == nil {
@@ -223,7 +253,7 @@ func (p *podem) chooseInput(at fnode, nd *netlist.Node, v logic.V) (netlist.Pin,
 				if needed == logic.Zero {
 					bit = 2 // driver must not be 1 => must be 0
 				}
-				if p.e.forb[at.t][pin.Node]&bit != 0 {
+				if p.e.forb[p.e.slot(fnode{at.t, pin.Node})]&bit != 0 {
 					return pin, needed, true
 				}
 			}
@@ -240,7 +270,7 @@ func (p *podem) chooseInput(at fnode, nd *netlist.Node, v logic.V) (netlist.Pin,
 		var pick *netlist.Pin
 		for i := range fanin {
 			pin := fanin[i]
-			pv := p.e.values[at.t][pin.Node]
+			pv := p.e.val(at.t, pin.Node)
 			if pv == logic.X5 {
 				if pick == nil {
 					pick = &fanin[i]
@@ -280,11 +310,13 @@ func (p *podem) extractTest() [][]logic.V {
 	if p.opt.FillSeed != 0 {
 		r = logic.NewRand64(p.opt.FillSeed)
 	}
+	n := len(p.c.PIs)
 	test := make([][]logic.V, p.e.w)
-	for t := 0; t < p.e.w; t++ {
-		vec := make([]logic.V, len(p.c.PIs))
+	vals := make([]logic.V, p.e.w*n)
+	for t := range test {
+		vec := vals[t*n : (t+1)*n : (t+1)*n]
 		for i, pi := range p.c.PIs {
-			g := p.e.values[t][pi].Good()
+			g := p.e.val(t, pi).Good()
 			if !g.Known() && r != nil {
 				g = logic.FromBool(r.Bool())
 			}
